@@ -124,7 +124,7 @@ func BenchmarkFig6ContentSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ContentSearch("cryogenic"); err != nil {
+		if _, err := s.ContentSearchN("cryogenic", 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -332,7 +332,7 @@ func BenchmarkAblationTextIndexVsScan(b *testing.B) {
 	b.Run("text-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.ContentSearch("cryogenic"); err != nil {
+			if _, err := s.ContentSearchN("cryogenic", 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -474,7 +474,7 @@ func BenchmarkColdContentSearch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			secs, err := s.ContentSearch("cryogenic")
+			secs, err := s.ContentSearchN("cryogenic", 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -586,7 +586,7 @@ func BenchmarkCombinedQueryPlans(b *testing.B) {
 	s := loadedStore(b, 400, 37)
 	b.Run("planner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Search("Budget", "request"); err != nil {
+			if _, err := s.SearchN("Budget", "request", 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -237,7 +237,7 @@ func (n *Netmark) Query(raw string) (*xdb.Result, error) {
 
 // Search runs a context/content search directly.
 func (n *Netmark) Search(contextHeading, content string) ([]xmlstore.Section, error) {
-	return n.store.Search(contextHeading, content)
+	return n.store.SearchN(contextHeading, content, 0)
 }
 
 // RegisterStylesheet names a stylesheet for the xslt= query parameter.

@@ -194,7 +194,7 @@ func TestPartialWriteNotIngested(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("stable scan = %d %v", n, err)
 	}
-	secs, err := store.ContentSearch("second")
+	secs, err := store.ContentSearchN("second", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("full content not stored: %d sections, %v", len(secs), err)
 	}

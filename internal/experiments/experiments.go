@@ -705,7 +705,7 @@ func AblationUniversalVsShred(docs int) (string, error) {
 
 	// Query: find a term with unknown element type.
 	t0 = time.Now()
-	uniHits, err := s.ContentSearch("shuttle")
+	uniHits, err := s.ContentSearchN("shuttle", 0)
 	if err != nil {
 		return "", err
 	}

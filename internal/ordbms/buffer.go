@@ -37,6 +37,12 @@ type Frame struct {
 
 	// Latch serialises access to the page contents.
 	Latch sync.RWMutex
+
+	// loading is held by the Fetch that faults the page in until its
+	// disk read ends; loadErr, set before that, is the read failure
+	// every waiter returns.  Frames born resident (NewPage) never wait.
+	loading sync.WaitGroup
+	loadErr error
 }
 
 // NewBufferPool creates a pool caching up to capacity pages.
@@ -83,7 +89,9 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 	return f, nil
 }
 
-// Fetch pins the given page, reading it from disk if needed.
+// Fetch pins the given page, reading it from disk if needed.  A
+// concurrent Fetch of a page still being read waits for the read, so no
+// caller ever sees a frame before its page is filled.
 func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 	bp.mu.Lock()
 	if f, ok := bp.frames[no]; ok {
@@ -91,6 +99,11 @@ func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 		bp.lru.MoveToFront(f.lruEl)
 		bp.hits++
 		bp.mu.Unlock()
+		f.loading.Wait()
+		if f.loadErr != nil {
+			bp.Unpin(f, false)
+			return nil, f.loadErr
+		}
 		return f, nil
 	}
 	bp.misses++
@@ -101,17 +114,20 @@ func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 	// netmarkvet:allocok — miss path: the frame and page backing a
 	// newly resident page are the point of the fetch
 	f := &Frame{PageNo: no, Page: NewPage(), pins: 1}
+	f.loading.Add(1)
 	f.lruEl = bp.lru.PushFront(f)
 	bp.frames[no] = f
 	bp.mu.Unlock()
 
 	// Read outside the pool lock; the frame is pinned so it cannot be
-	// evicted, and no other goroutine uses the page before we return.
+	// evicted, and concurrent fetchers of the page wait on loading.
+	defer f.loading.Done()
 	if err := bp.disk.ReadPage(no, f.Page.Data()); err != nil {
 		bp.mu.Lock()
 		f.pins--
 		delete(bp.frames, no)
 		bp.lru.Remove(f.lruEl)
+		f.loadErr = err
 		bp.mu.Unlock()
 		return nil, err
 	}

@@ -663,28 +663,17 @@ func (t *Table) FetchView(rid RowID, fn func(rec []byte) error) error {
 	return t.heap.View(rid, fn)
 }
 
-// FetchMany fetches and decodes many rows under a single shared-lock
-// acquisition, reusing the page pin across consecutive rids on the same
-// page — the batched analogue of Fetch for traversal kernels that already
-// hold a sorted rid list.  out[i] is nil when rid i's record was deleted
-// (readers racing a document delete skip those rows); any other error
-// aborts the batch.
-func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
+// ViewMany invokes fn for each live record among rids, in input order,
+// under a single shared-lock acquisition, reusing the page pin across
+// consecutive rids on the same page — the batched analogue of FetchView
+// for traversal kernels that already hold a sorted rid list.  Deleted
+// records are skipped (readers racing a document delete want the
+// survivors); any other fetch error, or an error from fn, aborts the
+// walk.  fn must not retain rec.
+func (t *Table) ViewMany(rids []RowID, fn func(i int, rec []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rows := make([]Row, len(rids))
-	err := t.heap.ViewMany(rids, func(i int, rec []byte) error {
-		row, derr := DecodeRow(rec)
-		if derr != nil {
-			return derr
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return t.heap.ViewMany(rids, fn)
 }
 
 // Delete removes the row at rid and its index entries.

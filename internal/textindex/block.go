@@ -264,94 +264,3 @@ func (it *iter) seekGE(target uint64) {
 	it.ti += sort.Search(len(it.v.tail)-it.ti, func(k int) bool { return it.v.tail[it.ti+k] >= target })
 	it.settle()
 }
-
-// materializeView appends every live id of v to dst in order.  The
-// common shape — no tombstones, tail strictly after the sealed blocks —
-// skips the merging iterator and decodes straight through.
-func materializeView(v view, dst []uint64) []uint64 {
-	if len(v.dead) == 0 &&
-		(len(v.tail) == 0 || len(v.blocks) == 0 || v.tail[0] > v.blocks[len(v.blocks)-1].maxID) {
-		for _, b := range v.blocks {
-			dst = decodeBlock(b, dst)
-		}
-		return append(dst, v.tail...)
-	}
-	for it := newIter(v); ; it.advance() {
-		id, ok := it.head()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, id)
-	}
-}
-
-// intersectViews returns the ids present in every view.  views[0] must
-// be the smallest (driver) list; the others are sought by skip entry,
-// so only their candidate blocks are ever decoded — a rare term
-// intersected against a stop-word-sized list costs O(|rare| log
-// |blocks|) block probes, not a decode of the whole long list.
-func intersectViews(views []view) []uint64 {
-	its := make([]*iter, len(views))
-	for i, v := range views {
-		its[i] = newIter(v)
-	}
-	out := make([]uint64, 0, views[0].live)
-	for {
-		x, ok := stepIntersect(its)
-		if !ok {
-			return out
-		}
-		out = append(out, x)
-	}
-}
-
-// mergeViews k-way merges the views' live ids into one sorted,
-// deduplicated list using a min-heap of block iterators, so an OR or
-// prefix over many terms decodes each block exactly once and never
-// materialises per-term copies.
-func mergeViews(views []view) []uint64 {
-	if len(views) == 0 {
-		return nil
-	}
-	if len(views) == 1 {
-		if views[0].live == 0 {
-			return nil
-		}
-		return materializeView(views[0], make([]uint64, 0, views[0].live))
-	}
-	total := 0
-	for _, v := range views {
-		total += v.live
-	}
-	x := mergeIter(views)
-	out := make([]uint64, 0, total)
-	for {
-		id, ok := x.Next()
-		if !ok {
-			break
-		}
-		out = append(out, id)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// siftDown restores the min-heap property (ordered by head id) at i.
-func siftDown(h []*iter, i int) {
-	for {
-		m := i
-		if l := 2*i + 1; l < len(h) && h[l].cur < h[m].cur {
-			m = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r].cur < h[m].cur {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}

@@ -1,36 +1,26 @@
 package textindex
 
-// Streaming query iterators.
+// Streaming query iterators — the index's one read API.
 //
-// Lookup/And/Or/Prefix materialize the whole result slice before the
-// caller sees the first id.  For callers that stream — section scans
-// that stop early, decode loops that reuse one chunk buffer — that
-// materialization is pure allocation overhead: the result can be the
-// size of the corpus while the caller only ever holds a page of it.
-// IDIter exposes the same block-skipping intersection and min-heap
-// merge kernels one id at a time, over the same immutable views
-// captured under the same brief RLock, so a streaming caller allocates
-// nothing per id beyond the iterator itself.
-//
-// The kernels are shared: intersectViews and mergeViews in block.go
-// are loops over stepIntersect/stepMerge, so the randomized equivalence
-// tests that exercise the materializing API validate the streaming one
-// too.
+// Every query result streams out of an IDIter one id at a time:
+// LookupIter for a single term, AndIter for the intersection of a
+// query's terms, and Phrase (which filters AndIter's candidates by
+// token adjacency).  Views of the posting lists are captured under a
+// brief RLock and iterated outside it, so a caller that stops early —
+// a section scan capped by limit=, a decode loop reusing one chunk
+// buffer — never pays for the ids it does not consume, and holding an
+// iterator open never blocks writers.
 
 import (
 	"sort"
-	"strings"
 )
 
-// IDIter streams the ids of a query result in ascending order.  The
-// zero value is an exhausted iterator.  An IDIter is single-use and not
-// safe for concurrent use; it reads immutable view storage, so holding
-// one open never blocks writers.
+// IDIter streams the ids of an intersection query in ascending order.
+// The zero value is an exhausted iterator.  An IDIter is single-use and
+// not safe for concurrent use; it reads immutable view storage, so
+// holding one open never blocks writers.
 type IDIter struct {
-	its     []*iter // intersect: its[0] drives; merge: min-heap by head id
-	merge   bool
-	last    uint64 // last id emitted in merge mode (for dedup)
-	started bool
+	its []*iter // its[0] (the smallest list) drives
 }
 
 // Next returns the next result id, or false when the stream is done.
@@ -40,26 +30,23 @@ func (x *IDIter) Next() (uint64, bool) {
 	if x == nil || len(x.its) == 0 {
 		return 0, false
 	}
-	if !x.merge {
-		return stepIntersect(x.its)
+	return stepIntersect(x.its)
+}
+
+// appendAll drains the iterator onto dst.
+func (x *IDIter) appendAll(dst []uint64) []uint64 {
+	for id, ok := x.Next(); ok; id, ok = x.Next() {
+		dst = append(dst, id)
 	}
-	for {
-		id, ok := stepMerge(&x.its)
-		if !ok {
-			return 0, false
-		}
-		if x.started && id == x.last {
-			continue
-		}
-		x.started, x.last = true, id
-		return id, true
-	}
+	return dst
 }
 
 // stepIntersect emits the next id present in every iterator.  its[0] is
 // the driver (smallest list); the rest are sought by block maxID, so
-// only candidate blocks decode.  When an iterator disagrees, the driver
-// gallops straight to the blocker's head.
+// only candidate blocks decode — a rare term intersected against a
+// stop-word-sized list costs O(|rare| log |blocks|) block probes, not a
+// decode of the whole long list.  When an iterator disagrees, the
+// driver gallops straight to the blocker's head.
 func stepIntersect(its []*iter) (uint64, bool) {
 	drv := its[0]
 outer:
@@ -84,26 +71,6 @@ outer:
 	}
 }
 
-// stepMerge pops the minimum head id off the iterator heap, advancing
-// its owner and dropping it when exhausted.  Duplicate ids across lists
-// come out as repeated emissions; callers dedup.
-func stepMerge(h *[]*iter) (uint64, bool) {
-	s := *h
-	if len(s) == 0 {
-		return 0, false
-	}
-	it := s[0]
-	id, _ := it.head()
-	it.advance()
-	if _, ok := it.head(); !ok {
-		s[0] = s[len(s)-1]
-		s = s[:len(s)-1]
-		*h = s
-	}
-	siftDown(s, 0)
-	return id, true
-}
-
 // intersectIter wraps sorted views (smallest first) as a streaming
 // intersection.  A single view streams through the same kernel — the
 // inner loop is empty.
@@ -116,21 +83,6 @@ func intersectIter(views []view) *IDIter {
 		its[i] = newIter(v)
 	}
 	return &IDIter{its: its}
-}
-
-// mergeIter wraps views as a streaming deduplicated union.
-func mergeIter(views []view) *IDIter {
-	h := make([]*iter, 0, len(views))
-	for _, v := range views {
-		it := newIter(v)
-		if _, ok := it.head(); ok {
-			h = append(h, it)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	return &IDIter{its: h, merge: true}
 }
 
 // LookupIter streams the ids containing term, in ascending order.
@@ -151,22 +103,15 @@ func (ix *Index) LookupIter(term string) *IDIter {
 	return intersectIter([]view{v})
 }
 
-// AndIter streams the intersection of the query's terms.  Views are
-// captured under the read lock exactly as And does; the skip-driven
-// intersection runs outside it, one id per Next call.
+// AndIter streams the ids containing every term of the query (the query
+// string is tokenized, so AndIter("space shuttle") intersects the two
+// terms).  Views are captured under a brief RLock; the skip-driven
+// intersection runs outside it, one id per Next call.  The stream
+// reflects some interleaving of concurrent writes — the same guarantee
+// the traversal kernel gives, since rows can vanish between the index
+// probe and the heap fetch anyway.
 func (ix *Index) AndIter(query string) *IDIter {
 	return intersectIter(ix.andViews(query))
-}
-
-// OrIter streams the deduplicated union of the query's terms.
-func (ix *Index) OrIter(query string) *IDIter {
-	return mergeIter(ix.orViews(query))
-}
-
-// PrefixIter streams the deduplicated union of every term starting
-// with p.
-func (ix *Index) PrefixIter(p string) *IDIter {
-	return mergeIter(ix.prefixViews(p))
 }
 
 // andViews captures one view per query term under a brief RLock and
@@ -190,46 +135,5 @@ func (ix *Index) andViews(query string) []view {
 	}
 	ix.mu.RUnlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].live < views[j].live })
-	return views
-}
-
-// orViews captures the non-empty views of the query's terms under one
-// brief RLock hold.
-func (ix *Index) orViews(query string) []view {
-	toks := Tokenize(query)
-	if len(toks) == 0 {
-		return nil
-	}
-	views := make([]view, 0, len(toks))
-	ix.mu.RLock()
-	for _, tok := range toks {
-		if got := ix.terms.Get(tok.Term); len(got) > 0 && got[0].live > 0 {
-			views = append(views, got[0].view())
-		}
-	}
-	ix.mu.RUnlock()
-	return views
-}
-
-// prefixViews captures the non-empty views of every term starting with
-// p under one brief RLock hold.
-func (ix *Index) prefixViews(p string) []view {
-	p = strings.ToLower(strings.TrimSpace(p))
-	if p == "" {
-		return nil
-	}
-	var views []view
-	ix.mu.RLock()
-	ix.terms.AscendPrefixFunc(p,
-		func(k string) bool { return strings.HasPrefix(k, p) },
-		func(_ string, vals []*postingList) bool {
-			for _, pl := range vals {
-				if pl.live > 0 {
-					views = append(views, pl.view())
-				}
-			}
-			return true
-		})
-	ix.mu.RUnlock()
 	return views
 }

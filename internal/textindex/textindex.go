@@ -5,8 +5,9 @@
 // original system.
 //
 // The index maps lowercased terms to block-compressed posting lists of
-// document/node IDs with token positions, supporting boolean AND/OR,
-// phrase and prefix queries.  IDs are opaque uint64s; the XML store
+// document/node IDs with token positions, queried through streaming
+// iterators: single-term lookup, AND of a query's terms, and phrase
+// adjacency (see iter.go).  IDs are opaque uint64s; the XML store
 // uses packed physical RowIDs so a text hit leads directly to the page
 // holding the node.  Posting lists are stored as delta+varint blocks
 // with per-block maxID skip entries (see block.go): intersections seek
@@ -263,7 +264,7 @@ func (pl *postingList) maybeCompact() {
 //
 // netmarkvet:mutator
 func (pl *postingList) compact() {
-	ids := materializeView(pl.view(), make([]uint64, 0, pl.live))
+	ids := intersectIter([]view{pl.view()}).appendAll(make([]uint64, 0, pl.live))
 	pl.blocks, pl.tail = rebuildBlocks(ids)
 	pl.dead = nil
 }
@@ -418,66 +419,14 @@ func (ix *Index) QueryGen(query string) uint64 {
 	return h
 }
 
-// Lookup returns the sorted IDs containing term.
-func (ix *Index) Lookup(term string) []uint64 {
-	term = normTerm(term)
-	if term == "" {
-		return nil
-	}
-	ix.mu.RLock()
-	var v view
-	if got := ix.terms.Get(term); len(got) > 0 {
-		v = got[0].view()
-	}
-	ix.mu.RUnlock()
-	if v.live == 0 {
-		return nil
-	}
-	return materializeView(v, make([]uint64, 0, v.live))
-}
-
-// And returns IDs containing every term.  The query string is tokenized,
-// so And("space shuttle") intersects the two terms.
-//
-// Only list views (slice headers over immutable storage) are captured
-// under the read lock; the skip-driven intersection runs outside it, so
-// a long multi-term intersection over large lists never starves writers.
-// The smallest list drives and the others are sought by block maxID —
-// only their candidate blocks are decoded.  The result reflects some
-// interleaving of concurrent writes — the same guarantee the traversal
-// kernel already gives, since rows can vanish between the index probe
-// and the heap fetch anyway.
-func (ix *Index) And(query string) []uint64 {
-	views := ix.andViews(query)
-	if len(views) == 0 {
-		return nil
-	}
-	if len(views) == 1 {
-		return materializeView(views[0], make([]uint64, 0, views[0].live))
-	}
-	return intersectViews(views)
-}
-
-// Or returns IDs containing any term of the query.  The matching list
-// views are captured under one short read-lock hold; the k-way merge
-// over block iterators runs outside the lock and decodes each block
-// exactly once.
-func (ix *Index) Or(query string) []uint64 {
-	return mergeViews(ix.orViews(query))
-}
-
 // Phrase returns IDs where the query terms occur adjacently in order.
+// The candidates stream out of AndIter; only their token positions are
+// read under the lock.
 func (ix *Index) Phrase(query string) []uint64 {
 	toks := Tokenize(query)
-	if len(toks) == 0 {
-		return nil
-	}
-	if len(toks) == 1 {
-		return ix.Lookup(toks[0].Term)
-	}
-	candidates := ix.And(query)
-	if len(candidates) == 0 {
-		return nil
+	candidates := ix.AndIter(query).appendAll(nil)
+	if len(toks) < 2 || len(candidates) == 0 {
+		return candidates
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -507,13 +456,6 @@ func (ix *Index) Phrase(query string) []uint64 {
 		}
 	}
 	return res
-}
-
-// Prefix returns IDs containing any term starting with p.  Matching
-// list views are captured under the lock and k-way merged outside it,
-// like Or.
-func (ix *Index) Prefix(p string) []uint64 {
-	return mergeViews(ix.prefixViews(p))
 }
 
 // Stats describes the posting-list storage: how many ids sit in sealed

@@ -64,36 +64,32 @@ func TestLookupBasic(t *testing.T) {
 	ix.Add(2, "budget report for the shuttle program")
 	ix.Add(3, "unrelated document about parsers")
 
-	got := ix.Lookup("shuttle")
+	got := lookupIDs(ix, "shuttle")
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("Lookup(shuttle) = %v", got)
 	}
-	if got := ix.Lookup("SHUTTLE"); len(got) != 2 {
+	if got := lookupIDs(ix, "SHUTTLE"); len(got) != 2 {
 		t.Fatalf("case-insensitive lookup failed: %v", got)
 	}
-	if got := ix.Lookup("absent"); got != nil {
+	if got := lookupIDs(ix, "absent"); got != nil {
 		t.Fatalf("Lookup(absent) = %v", got)
 	}
-	if got := ix.Lookup(""); got != nil {
+	if got := lookupIDs(ix, ""); got != nil {
 		t.Fatalf("Lookup(empty) = %v", got)
 	}
 }
 
-func TestAndOr(t *testing.T) {
+func TestAnd(t *testing.T) {
 	ix := New()
 	ix.Add(1, "engine anomaly detected")
 	ix.Add(2, "engine nominal")
 	ix.Add(3, "anomaly in the guidance system")
 
-	and := ix.And("engine anomaly")
+	and := andIDs(ix, "engine anomaly")
 	if len(and) != 1 || and[0] != 1 {
 		t.Fatalf("And = %v", and)
 	}
-	or := ix.Or("engine anomaly")
-	if len(or) != 3 {
-		t.Fatalf("Or = %v", or)
-	}
-	if got := ix.And("engine missing"); got != nil {
+	if got := andIDs(ix, "engine missing"); got != nil {
 		t.Fatalf("And with absent term = %v", got)
 	}
 }
@@ -113,34 +109,15 @@ func TestPhrase(t *testing.T) {
 	}
 }
 
-func TestPrefix(t *testing.T) {
-	ix := New()
-	ix.Add(1, "propulsion")
-	ix.Add(2, "proposal")
-	ix.Add(3, "protocol")
-	ix.Add(4, "budget")
-
-	got := ix.Prefix("prop")
-	if len(got) != 2 {
-		t.Fatalf("Prefix(prop) = %v", got)
-	}
-	if got := ix.Prefix("pro"); len(got) != 3 {
-		t.Fatalf("Prefix(pro) = %v", got)
-	}
-	if got := ix.Prefix("z"); got != nil {
-		t.Fatalf("Prefix(z) = %v", got)
-	}
-}
-
 func TestRemove(t *testing.T) {
 	ix := New()
 	ix.Add(1, "alpha beta")
 	ix.Add(2, "beta gamma")
 	ix.Remove(1)
-	if got := ix.Lookup("alpha"); got != nil {
+	if got := lookupIDs(ix, "alpha"); got != nil {
 		t.Fatalf("alpha survives remove: %v", got)
 	}
-	if got := ix.Lookup("beta"); len(got) != 1 || got[0] != 2 {
+	if got := lookupIDs(ix, "beta"); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("beta postings wrong after remove: %v", got)
 	}
 	if ix.Docs() != 1 {
@@ -175,7 +152,7 @@ func TestIDsSortedEvenWithOutOfOrderAdds(t *testing.T) {
 	for _, id := range ids {
 		ix.Add(id, "common")
 	}
-	got := ix.Lookup("common")
+	got := lookupIDs(ix, "common")
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("postings unsorted: %v", got)
 	}
@@ -210,7 +187,7 @@ func TestQuickAgainstNaiveSearch(t *testing.T) {
 				}
 			}
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got := ix.Lookup(w)
+			got := lookupIDs(ix, w)
 			if len(got) != len(want) {
 				return false
 			}
@@ -244,7 +221,7 @@ func TestQuickAndIsIntersection(t *testing.T) {
 				ix.Add(id, strings.Join(parts, " "))
 			}
 		}
-		a, b := ix.Lookup("aterm"), ix.Lookup("bterm")
+		a, b := lookupIDs(ix, "aterm"), lookupIDs(ix, "bterm")
 		inA := make(map[uint64]bool)
 		for _, id := range a {
 			inA[id] = true
@@ -255,7 +232,7 @@ func TestQuickAndIsIntersection(t *testing.T) {
 				want = append(want, id)
 			}
 		}
-		got := ix.And("aterm bterm")
+		got := andIDs(ix, "aterm bterm")
 		if len(got) != len(want) {
 			return false
 		}
@@ -285,7 +262,7 @@ func TestConcurrentAddLookup(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		go func() {
 			for i := 0; i < 200; i++ {
-				ix.Lookup("shared")
+				lookupIDs(ix, "shared")
 			}
 			done <- nil
 		}()
@@ -295,7 +272,7 @@ func TestConcurrentAddLookup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(ix.Lookup("shared")); got != 800 {
+	if got := len(lookupIDs(ix, "shared")); got != 800 {
 		t.Fatalf("shared postings = %d", got)
 	}
 }
@@ -316,7 +293,7 @@ func BenchmarkLookup(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix.Lookup("shuttle")
+		lookupIDs(ix, "shuttle")
 	}
 }
 
@@ -336,10 +313,10 @@ func TestBlockSealAndSkip(t *testing.T) {
 	if st.Blocks < n/blockSize-1 {
 		t.Fatalf("expected sealed blocks, stats = %+v", st)
 	}
-	if got := ix.Lookup("common"); len(got) != n || got[0] != 1 || got[n-1] != n {
+	if got := lookupIDs(ix, "common"); len(got) != n || got[0] != 1 || got[n-1] != n {
 		t.Fatalf("Lookup(common) len=%d first=%v last=%v", len(got), got[0], got[len(got)-1])
 	}
-	and := ix.And("common rare")
+	and := andIDs(ix, "common rare")
 	if len(and) != n/97 {
 		t.Fatalf("And(common rare) = %d ids, want %d", len(and), n/97)
 	}
@@ -366,7 +343,7 @@ func TestOutOfOrderTailOverlap(t *testing.T) {
 	for id := uint64(1); id <= 5*blockSize; id++ {
 		ix.Add(id, "w")
 	}
-	got := ix.Lookup("w")
+	got := lookupIDs(ix, "w")
 	if len(got) != 10*blockSize {
 		t.Fatalf("len = %d, want %d", len(got), 10*blockSize)
 	}
@@ -395,7 +372,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	if st.DeadIDs > n/4 {
 		t.Fatalf("tombstones not compacted: %+v", st)
 	}
-	got := ix.Lookup("victim")
+	got := lookupIDs(ix, "victim")
 	if len(got) != n/3 {
 		t.Fatalf("len = %d, want %d", len(got), n/3)
 	}
@@ -417,11 +394,11 @@ func TestReinsertTombstonedID(t *testing.T) {
 		ix.Add(id, "stable flux")
 	}
 	ix.Remove(7) // inside the first sealed block
-	if got := ix.Lookup("flux"); len(got) != 2*blockSize-1 {
+	if got := lookupIDs(ix, "flux"); len(got) != 2*blockSize-1 {
 		t.Fatalf("after remove: %d ids", len(got))
 	}
 	ix.Add(7, "stable flux phoenix")
-	got := ix.Lookup("flux")
+	got := lookupIDs(ix, "flux")
 	if len(got) != 2*blockSize {
 		t.Fatalf("after re-add: %d ids, want %d", len(got), 2*blockSize)
 	}
@@ -434,10 +411,10 @@ func TestReinsertTombstonedID(t *testing.T) {
 	if seen != 1 {
 		t.Fatalf("id 7 appears %d times", seen)
 	}
-	if got := ix.Lookup("phoenix"); len(got) != 1 || got[0] != 7 {
+	if got := lookupIDs(ix, "phoenix"); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("phoenix = %v", got)
 	}
-	if got := ix.And("stable flux phoenix"); len(got) != 1 || got[0] != 7 {
+	if got := andIDs(ix, "stable flux phoenix"); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("And over revived id = %v", got)
 	}
 }
@@ -473,7 +450,7 @@ func TestCJKPhraseSearch(t *testing.T) {
 	if got := ix.Phrase("東京"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Phrase(東京) = %v", got)
 	}
-	if got := ix.Lookup("東"); len(got) != 2 {
+	if got := lookupIDs(ix, "東"); len(got) != 2 {
 		t.Fatalf("Lookup(東) = %v", got)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 	"netmark/internal/xmlstore"
 	"netmark/internal/xslt"
@@ -331,14 +330,7 @@ func (e *Engine) ExecuteString(raw string) (*Result, error) {
 // enabled.  Cached results are shared across callers and must be treated
 // as read-only.
 func (e *Engine) Execute(q Query) (*Result, error) {
-	if e.cache == nil {
-		return e.executeUncached(q)
-	}
-	// Snapshot both generations *before* executing: if a mutation lands
-	// mid-query, the result is cached under the pre-mutation key, which
-	// the mutation's bump has already made unreachable.
-	key := e.cacheKey(q)
-	res, _, err := e.cache.fetch(key, func() (*Result, error) { return e.executeUncached(q) })
+	res, _, err := e.fetch(q)
 	return res, err
 }
 
@@ -349,19 +341,11 @@ func (e *Engine) Execute(q Query) (*Result, error) {
 // serialized document in memory.  Execution errors are reported before
 // anything is written.
 func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
-	if e.cache == nil {
-		res, err := e.executeUncached(q)
-		if err != nil {
-			return err
-		}
-		return sgml.WriteIndent(w, resultTree(res))
-	}
-	key := e.cacheKey(q)
-	res, entry, err := e.cache.fetch(key, func() (*Result, error) { return e.executeUncached(q) })
+	res, entry, err := e.fetch(q)
 	if err != nil {
 		return err
 	}
-	if entry == nil { // oversized result: not cached, stream it
+	if entry == nil { // no cache, or an oversized result: stream it
 		return sgml.WriteIndent(w, resultTree(res))
 	}
 	body := e.cache.renderedXML(entry, func(r *Result) []byte {
@@ -371,6 +355,20 @@ func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
 	})
 	_, err = w.Write(body)
 	return err
+}
+
+// fetch executes q through the result cache when one is enabled.  entry
+// is the cache entry holding the result, nil when the result is not
+// cached (no cache, or too big for it).
+func (e *Engine) fetch(q Query) (*Result, *cacheEntry, error) {
+	if e.cache == nil {
+		res, err := e.executeUncached(q)
+		return res, nil, err
+	}
+	// Snapshot both generations *before* executing: if a mutation lands
+	// mid-query, the result is cached under the pre-mutation key, which
+	// the mutation's bump has already made unreachable.
+	return e.cache.fetch(e.cacheKey(q), func() (*Result, error) { return e.executeUncached(q) })
 }
 
 // resultTree picks the document a result serves over the wire.
@@ -466,90 +464,47 @@ func (e *Engine) stampsFresh(stamps []docStamp) bool {
 	return true
 }
 
-// executeUncached evaluates the query against the store.
+// executeUncached evaluates the query against the store: each plan is
+// one store call, with the limit pushed into its traversal.
 func (e *Engine) executeUncached(q Query) (*Result, error) {
 	r := &Result{Query: q}
+	var err error
 	switch {
 	case q.XPath != "":
-		secs, err := e.executeXPath(q)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
+		r.Sections, err = e.executeXPath(q)
 	case q.DocsOnly:
 		if q.Content == "" {
 			return nil, fmt.Errorf("xdb: document scope requires content=")
 		}
-		docs, err := e.store.ContentSearchDocsN(q.Content, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Docs = docs
+		r.Docs, err = e.store.ContentSearchDocsN(q.Content, q.Limit)
 	case q.ContextPrefix && q.Content == "":
-		secs, err := e.store.ContextPrefixSearchN(q.Context, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
-	case q.ContextPrefix:
-		// The residual content filter runs here, so the prefix search
-		// itself cannot be capped; the filter loop stops at the limit.
-		secs, err := e.store.ContextPrefixSearch(q.Context)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range secs {
+		r.Sections, err = e.store.ContextPrefixSearchN(q.Context, q.Limit)
+	case q.ContextPrefix || q.Phrase && q.Context != "":
+		// No index answers these combinations, so the context walk
+		// drives and the content predicate filters each section as it
+		// streams; the walk stops at the limit.
+		err = e.store.WalkContext(q.Context, q.ContextPrefix, func(s xmlstore.Section) bool {
 			if sectionMatchesContent(s, q) {
 				r.Sections = append(r.Sections, s)
-				if q.Limit > 0 && len(r.Sections) >= q.Limit {
-					break
-				}
 			}
-		}
-	case q.Phrase && q.Context == "":
-		secs, err := e.phraseSections(q.Content, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
+			return q.Limit <= 0 || len(r.Sections) < q.Limit
+		})
 	case q.Phrase:
-		secs, err := e.store.ContextSearch(q.Context)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range secs {
-			if sectionMatchesContent(s, q) {
-				r.Sections = append(r.Sections, s)
-				if q.Limit > 0 && len(r.Sections) >= q.Limit {
-					break
-				}
-			}
-		}
+		r.Sections, err = e.store.PhraseSearchN(q.Content, q.Limit)
 	default:
-		secs, err := e.store.SearchN(q.Context, q.Content, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
+		r.Sections, err = e.store.SearchN(q.Context, q.Content, q.Limit)
 	}
-	if q.Limit > 0 {
-		if len(r.Sections) > q.Limit {
-			r.Sections = r.Sections[:q.Limit]
-		}
-		if len(r.Docs) > q.Limit {
-			r.Docs = r.Docs[:q.Limit]
-		}
+	if err != nil {
+		return nil, err
 	}
 	if q.XSLT != "" {
 		sheet := e.Stylesheet(q.XSLT)
 		if sheet == nil {
 			return nil, fmt.Errorf("xdb: no stylesheet %q registered", q.XSLT)
 		}
-		t, err := sheet.Transform(r.XML())
-		if err != nil {
+		if r.Transformed, err = sheet.Transform(r.XML()); err != nil {
 			return nil, err
 		}
-		r.Transformed = t
 	}
 	return r, nil
 }
@@ -570,27 +525,24 @@ func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 	case q.Content != "":
 		docs, err = e.store.ContentSearchDocs(q.Content)
 	case q.Context != "":
-		var secs []xmlstore.Section
-		if q.ContextPrefix {
-			secs, err = e.store.ContextPrefixSearch(q.Context)
-		} else {
-			secs, err = e.store.ContextSearch(q.Context)
-		}
-		if err == nil {
-			seen := map[uint64]bool{}
-			for _, s := range secs {
-				if !seen[s.DocID] {
-					seen[s.DocID] = true
-					info, derr := e.store.Document(s.DocID)
-					if derr != nil {
-						if xmlstore.IsGone(derr) {
-							continue // deleted since the section matched
-						}
-						return nil, derr
-					}
-					docs = append(docs, info)
-				}
+		seen := map[uint64]bool{}
+		var docErr error
+		err = e.store.WalkContext(q.Context, q.ContextPrefix, func(s xmlstore.Section) bool {
+			if seen[s.DocID] {
+				return true
 			}
+			seen[s.DocID] = true
+			info, derr := e.store.Document(s.DocID)
+			switch {
+			case derr == nil:
+				docs = append(docs, info)
+			case !xmlstore.IsGone(derr): // gone: deleted since the section matched
+				docErr = derr
+			}
+			return docErr == nil
+		})
+		if err == nil {
+			err = docErr
 		}
 	default:
 		docs, err = e.store.Documents()
@@ -624,51 +576,6 @@ func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 			if q.Limit > 0 && len(out) >= q.Limit {
 				return out, nil
 			}
-		}
-	}
-	return out, nil
-}
-
-// phraseSections runs a phrase query through the text index, then builds
-// sections via the traversal kernel, stopping at limit sections
-// (limit <= 0 means unlimited).
-func (e *Engine) phraseSections(phrase string, limit int) ([]xmlstore.Section, error) {
-	hits := e.store.ContentIndex().Phrase(phrase)
-	seen := make(map[ordbms.RowID]bool)
-	var out []xmlstore.Section
-	for _, h := range hits {
-		rid := ordbms.RowIDFromUint64(h)
-		node, err := e.store.FetchNode(rid)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue
-			}
-			return nil, err
-		}
-		ctx, err := e.store.ContextFor(node)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue // document mid-delete; skip the hit
-			}
-			return nil, err
-		}
-		if ctx == nil {
-			continue
-		}
-		if seen[ctx.RowID] {
-			continue
-		}
-		seen[ctx.RowID] = true
-		sec, err := e.store.SectionOf(ctx)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, sec)
-		if limit > 0 && len(out) >= limit {
-			break
 		}
 	}
 	return out, nil

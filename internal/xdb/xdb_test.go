@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 	"netmark/internal/xmlstore"
@@ -330,5 +331,66 @@ func TestSectionPredicates(t *testing.T) {
 	}
 	if SectionMatchesContext(sec, Query{Context: "Budget"}) {
 		t.Fatal("wrong context matched")
+	}
+}
+
+// A phrase hit with no governing heading resolves to the same fallback
+// section a keyword hit on the same word does: phrase and keyword plans
+// share one hit-to-section kernel.
+func TestPhraseHeadinglessFallback(t *testing.T) {
+	e := engine(t)
+	load(t, e, "parts.xml", `<inventory><widget><label>Cryo Valve</label><qty>3</qty></widget></inventory>`)
+	keyword, err := e.ExecuteString("content=valve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	phrase, err := e.ExecuteString(`content="cryo valve"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyword.Len() != 1 || !strings.Contains(keyword.Sections[0].Content, "Cryo Valve") {
+		t.Fatalf("keyword sections = %v", keyword.Sections)
+	}
+	if phrase.Len() != 1 || phrase.Sections[0] != keyword.Sections[0] {
+		t.Fatalf("phrase sections = %v, want the keyword fallback %v", phrase.Sections, keyword.Sections)
+	}
+}
+
+// The residual-filter plans (context prefix plus content, phrase plus
+// context) push limit= into the context walk: a capped query touches a
+// small fraction of the nodes the uncapped one does.
+func TestResidualFilterLimitBoundsTraversal(t *testing.T) {
+	e := engine(t)
+	s := e.Store()
+	s.EnableNodeCache(64 << 20)
+	s.SetQueryWorkers(1)
+	for _, d := range corpus.New(40).Proposals(40) {
+		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookups := func(raw string) (uint64, int) {
+		t.Helper()
+		before, _ := s.NodeCacheStats()
+		r, err := e.ExecuteString(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, _ := s.NodeCacheStats()
+		return after.Hits + after.Misses - before.Hits - before.Misses, r.Len()
+	}
+	for _, q := range []string{`context=B*&content=request`, `content="we request"&context=Budget`} {
+		all, n := lookups(q)
+		if n < 20 {
+			t.Fatalf("%s: %d sections, corpus too small for the test", q, n)
+		}
+		capped, n := lookups(q + "&limit=1")
+		if n != 1 {
+			t.Fatalf("%s&limit=1: %d sections", q, n)
+		}
+		t.Logf("%s: %d node-cache lookups at limit=1, %d unlimited", q, capped, all)
+		if capped*4 > all {
+			t.Errorf("%s: limit=1 made %d node-cache lookups, unlimited %d", q, capped, all)
+		}
 	}
 }

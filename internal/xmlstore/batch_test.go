@@ -54,8 +54,8 @@ func TestStoreBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("context %q: seq %d sections, batch %d", q, len(a), len(b))
 		}
 	}
-	a, _ := seq.ContentSearch("engine")
-	b, _ := par.ContentSearch("engine")
+	a, _ := seq.ContentSearchN("engine", 0)
+	b, _ := par.ContentSearchN("engine", 0)
 	if len(a) != len(b) {
 		t.Fatalf("content search diverges: %d vs %d", len(a), len(b))
 	}

@@ -50,14 +50,14 @@ func TestKernelEquivalence(t *testing.T) {
 		run  func(s *Store) (any, error)
 	}
 	plans := []plan{
-		{"content", func(s *Store) (any, error) { return s.ContentSearch("cryogenic") }},
-		{"content-multi", func(s *Store) (any, error) { return s.ContentSearch("cryogenic turbine") }},
+		{"content", func(s *Store) (any, error) { return s.ContentSearchN("cryogenic", 0) }},
+		{"content-multi", func(s *Store) (any, error) { return s.ContentSearchN("cryogenic turbine", 0) }},
 		{"content-limit", func(s *Store) (any, error) { return s.ContentSearchN("review", 5) }},
 		{"context", func(s *Store) (any, error) { return s.ContextSearch("Budget") }},
 		{"context-limit", func(s *Store) (any, error) { return s.ContextSearchN("Budget", 3) }},
 		{"context-prefix", func(s *Store) (any, error) { return s.ContextPrefixSearch("Tech") }},
 		{"context-prefix-limit", func(s *Store) (any, error) { return s.ContextPrefixSearchN("Tech", 2) }},
-		{"combined", func(s *Store) (any, error) { return s.Search("Budget", "request") }},
+		{"combined", func(s *Store) (any, error) { return s.SearchN("Budget", "request", 0) }},
 		{"combined-drive-content", func(s *Store) (any, error) { return s.searchDriveContent("Budget", "request", 0) }},
 		{"combined-drive-context", func(s *Store) (any, error) { return s.searchDriveContext("Budget", "request", 0) }},
 		{"docs", func(s *Store) (any, error) {
@@ -168,7 +168,7 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadDeepCorpus(t, s)
-	want, err := s.ContentSearch("cryogenic")
+	want, err := s.ContentSearchN("cryogenic", 0)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("pre-close search: %v (%d sections)", err, len(want))
 	}
@@ -203,7 +203,7 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ContentSearch("cryogenic")
+	got, err := s.ContentSearchN("cryogenic", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestContentSearchRaceWithNodeCache(t *testing.T) {
 			defer wg.Done()
 			queries := []string{"cryogenic", "turbine", "review", "nominal sensor"}
 			for i := 0; i < rounds*4; i++ {
-				secs, err := s.ContentSearch(queries[(r+i)%len(queries)])
+				secs, err := s.ContentSearchN(queries[(r+i)%len(queries)], 0)
 				if err != nil {
 					errs <- fmt.Errorf("search: %w", err)
 					return

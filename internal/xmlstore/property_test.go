@@ -132,7 +132,7 @@ func TestQuickContentIndexCompleteness(t *testing.T) {
 		if _, err := s.StoreRaw(fmt.Sprintf("c%d.html", n), []byte(src)); err != nil {
 			return false
 		}
-		secs, err := s.ContentSearch(marker)
+		secs, err := s.ContentSearchN(marker, 0)
 		if err != nil || len(secs) != 1 {
 			return false
 		}
@@ -175,7 +175,7 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := s.ContentSearch("shared"); err != nil {
+				if _, err := s.ContentSearchN("shared", 0); err != nil {
 					errs <- err
 					return
 				}

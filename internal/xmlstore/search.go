@@ -41,18 +41,29 @@ import (
 //
 // netmarkvet:hotpath
 func (s *Store) ContextFor(n *Node) (*Node, error) {
-	if !s.ctxIdxOff {
-		s.ctxIdxMu.RLock()
-		rid, ok := s.ctxIdx[n.RowID]
-		s.ctxIdxMu.RUnlock()
-		if ok {
-			if rid.IsZero() {
-				return nil, nil
-			}
-			return s.FetchNode(rid)
-		}
+	rid, ok := s.probeContext(n.RowID)
+	switch {
+	case !ok:
+		return s.contextForWalk(n)
+	case rid.IsZero():
+		return nil, nil
 	}
-	return s.contextForWalk(n)
+	return s.FetchNode(rid)
+}
+
+// probeContext looks a node up in the derived node→governing-CONTEXT
+// index.  ok is false when the index is disabled or has no entry for
+// the node; a zero rid means the node has no governing context.
+//
+// netmarkvet:hotpath
+func (s *Store) probeContext(node ordbms.RowID) (rid ordbms.RowID, ok bool) {
+	if s.ctxIdxOff {
+		return ordbms.ZeroRowID, false
+	}
+	s.ctxIdxMu.RLock()
+	rid, ok = s.ctxIdx[node]
+	s.ctxIdxMu.RUnlock()
+	return rid, ok
 }
 
 // contextForWalk is the paper's traversal: scan left across preceding
@@ -185,11 +196,9 @@ func (s *Store) ContextSearch(heading string) ([]Section, error) {
 // exist (limit <= 0 means unlimited), so limit=50 over a huge corpus
 // touches 50 sections, not all of them.
 func (s *Store) ContextSearchN(heading string, limit int) ([]Section, error) {
-	key := normalizeContext(heading)
-	s.ctxMu.RLock()
-	rids := append([]ordbms.RowID(nil), s.contexts.Get(key)...)
-	s.ctxMu.RUnlock()
-	return s.sectionsForContexts(rids, limit)
+	out := sectionSink{limit: limit}
+	err := s.walkContext(heading, false, limit, out.add)
+	return out.secs, err
 }
 
 // ContextPrefixSearch matches headings by prefix (Context=Tech*).
@@ -198,38 +207,81 @@ func (s *Store) ContextPrefixSearch(prefix string) ([]Section, error) {
 }
 
 // ContextPrefixSearchN is ContextPrefixSearch with the limit pushed all
-// the way into candidate collection: instead of copying every matching
-// rowid under ctxMu, a capped query keeps only the `limit` physically
-// smallest candidates (a bounded max-heap), so Context=A*&limit=1 over a
-// million headings holds one rowid, not a million.  The physical-order
-// result prefix is unchanged; only a candidate deleted between the index
-// snapshot and materialisation can make a capped result shorter than an
-// uncapped one would have been.
+// the way into candidate collection (see walkContext), so
+// Context=A*&limit=1 over a million headings holds one rowid, not a
+// million.
 func (s *Store) ContextPrefixSearchN(prefix string, limit int) ([]Section, error) {
-	key := normalizeContext(prefix)
+	out := sectionSink{limit: limit}
+	err := s.walkContext(prefix, true, limit, out.add)
+	return out.secs, err
+}
+
+// WalkContext streams the sections whose heading matches heading (case-
+// and whitespace-insensitive; by prefix when prefix is set) to fn in
+// physical order, until fn returns false.  It is the one context-driven
+// plan: callers that filter sections do it in fn, so a filtered, capped
+// query stops traversing as soon as fn has enough.
+func (s *Store) WalkContext(heading string, prefix bool, fn func(Section) bool) error {
+	return s.walkContext(heading, prefix, 0, fn)
+}
+
+// walkContext snapshots the matching CONTEXT rowids under ctxMu, sorts
+// them into physical order and runs them through the section kernel.
+// bound > 0 promises that fn accepts every section and stops after
+// bound of them, so only the bound physically smallest candidates are
+// kept (a bounded max-heap) instead of a copy of every matching rowid.
+// Only a candidate deleted between the snapshot and materialisation
+// can make a bounded walk shorter than an unbounded one would have
+// been.
+func (s *Store) walkContext(heading string, prefix bool, bound int, fn func(Section) bool) error {
+	key := normalizeContext(heading)
 	var rids []ordbms.RowID
+	var smallest ridBound
+	collect := func(vals []ordbms.RowID) {
+		if bound <= 0 {
+			rids = append(rids, vals...)
+			return
+		}
+		for _, rid := range vals {
+			smallest.push(rid, bound)
+		}
+	}
 	s.ctxMu.RLock()
-	if limit > 0 {
-		var bound ridBound
+	if prefix {
 		s.contexts.AscendPrefixFunc(key,
 			func(k string) bool { return strings.HasPrefix(k, key) },
 			func(_ string, vals []ordbms.RowID) bool {
-				for _, rid := range vals {
-					bound.push(rid, limit)
-				}
+				collect(vals)
 				return true
 			})
-		rids = bound.rids
 	} else {
-		s.contexts.AscendPrefixFunc(key,
-			func(k string) bool { return strings.HasPrefix(k, key) },
-			func(_ string, vals []ordbms.RowID) bool {
-				rids = append(rids, vals...)
-				return true
-			})
+		collect(s.contexts.Get(key))
 	}
 	s.ctxMu.RUnlock()
-	return s.sectionsForContexts(rids, limit)
+	if bound > 0 {
+		rids = smallest.rids
+	}
+	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
+	return s.forEachSection(func() (ordbms.RowID, bool) {
+		if len(rids) == 0 {
+			return ordbms.ZeroRowID, false
+		}
+		rid := rids[0]
+		rids = rids[1:]
+		return rid, true
+	}, false, fn)
+}
+
+// sectionSink collects streamed sections up to limit (<= 0: all).
+type sectionSink struct {
+	secs  []Section
+	limit int
+}
+
+// add appends sec and reports whether the sink wants more.
+func (k *sectionSink) add(sec Section) bool {
+	k.secs = append(k.secs, sec)
+	return k.limit <= 0 || len(k.secs) < k.limit
 }
 
 // ridBound keeps the k physically-smallest RowIDs pushed into it, as a
@@ -273,15 +325,6 @@ func (h *ridBound) push(rid ordbms.RowID, k int) {
 	}
 }
 
-func (s *Store) sectionsForContexts(rids []ordbms.RowID, limit int) ([]Section, error) {
-	var out []Section
-	err := s.forEachContextSection(rids, func(sec Section) bool {
-		out = append(out, sec)
-		return limit <= 0 || len(out) < limit
-	})
-	return out, err
-}
-
 // sectionWorkers picks the materialisation fan-out for n candidates.
 func (s *Store) sectionWorkers(n int) int {
 	if n < 4 {
@@ -300,10 +343,14 @@ func (s *Store) sectionWorkers(n int) int {
 	return w
 }
 
-// sectionChunk bounds the per-batch bookkeeping of the parallel
-// materialisers, so a limit-capped query over a huge candidate list
-// allocates per chunk, not per corpus.
-const sectionChunk = 512
+// Candidate chunks start at firstChunk rowids and double up to
+// sectionChunk: a capped query that its first candidates satisfy
+// fetches few more nodes than it emits, and a long scan still batches
+// its fetches and bounds its bookkeeping per chunk, not per corpus.
+const (
+	firstChunk   = 16
+	sectionChunk = 512
+)
 
 // sectionOut is one materialised (or skipped, or failed) section slot.
 type sectionOut struct {
@@ -312,38 +359,191 @@ type sectionOut struct {
 	skip bool
 }
 
-// forEachContextSection materialises sections for CONTEXT rowids in
-// physical order until fn returns false — the shared lazy kernel beneath
-// every limit-aware context plan.  It sorts rids in place; callers pass
-// a private copy (snapshotted under ctxMu).  Candidates are resolved
-// through the node cache with batched heap fetches, and with more than
-// one query worker the sections themselves materialise concurrently with
-// ordered emit: results reach fn in exactly the physical order a serial
-// walk would produce, and a false return cancels the remaining work.
-func (s *Store) forEachContextSection(rids []ordbms.RowID, fn func(Section) bool) error {
-	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-	workers := s.sectionWorkers(len(rids))
-	for start := 0; start < len(rids); start += sectionChunk {
-		chunk := rids[start:min(start+sectionChunk, len(rids))]
-		stopped, err := s.emitContextChunk(chunk, workers, fn)
-		if err != nil || stopped {
+// forEachSection is the one hit-to-section kernel (§2.1.4) beneath
+// every plan.  next streams candidate rowids; forEachNodeChunk resolves
+// them a chunk at a time to decoded nodes.  With climb set they are
+// text hits: resolveSectionTask maps each to its governing context (one
+// map probe of the derived index, no materialisation) and duplicates of
+// an already-seen section are dropped, so sections come out in
+// first-hit order.  Without climb they are CONTEXT nodes and each is
+// its own section.  The distinct sections of a chunk then materialise
+// on the worker pool with ordered emit, and a false return from fn
+// cancels the remaining work — so duplicate hits on one section cost a
+// map probe, never a second traversal, and the expensive stage
+// parallelises over exactly the distinct sections.
+func (s *Store) forEachSection(next func() (ordbms.RowID, bool), climb bool, fn func(Section) bool) error {
+	seen := make(map[ordbms.RowID]bool)
+	var tasks []sectionTask
+	return s.forEachNodeChunk(next, func(nodes []*Node) (bool, error) {
+		tasks = tasks[:0]
+		for _, node := range nodes {
+			if node == nil {
+				continue // deleted between index probe and fetch
+			}
+			if !climb {
+				tasks = append(tasks, sectionTask{ctxRID: node.RowID, ctx: node})
+				continue
+			}
+			task, key, skip, err := s.resolveSectionTask(node)
+			if err != nil {
+				return false, err
+			}
+			if skip || seen[key] {
+				continue
+			}
+			seen[key] = true
+			tasks = append(tasks, task)
+		}
+		return s.emitSectionTasks(tasks, fn)
+	})
+}
+
+// forEachNodeChunk drains next a chunk at a time (see firstChunk)
+// through one reused buffer and resolves each chunk to decoded nodes
+// with one node-cache-aware batched fetch (nil for a row deleted since
+// the probe), handing them to fn until fn reports stopped.  A capped scan
+// over a huge posting list never materialises the full hit list, only
+// the current chunk.
+func (s *Store) forEachNodeChunk(next func() (ordbms.RowID, bool), fn func([]*Node) (stopped bool, err error)) error {
+	var chunk []ordbms.RowID
+	for size := firstChunk; ; size = min(2*size, sectionChunk) {
+		chunk = chunk[:0]
+		for len(chunk) < size {
+			rid, ok := next()
+			if !ok {
+				break
+			}
+			chunk = append(chunk, rid)
+		}
+		if len(chunk) == 0 {
+			return nil
+		}
+		nodes, err := s.fetchNodesBatch(chunk)
+		if err != nil {
+			return err
+		}
+		if stopped, err := fn(nodes); err != nil || stopped {
 			return err
 		}
 	}
-	return nil
 }
 
-// emitOrdered runs materialise(i) for i in [0, n) — serially when
-// workers <= 1, otherwise on a bounded worker pool — and feeds the
-// non-skipped results to fn in index order.  stopped reports that fn
-// returned false; remaining work is cancelled (workers check the stop
-// flag before claiming their next index, so overshoot is bounded by the
-// pool size).  This is the shared scaffold beneath every parallel
-// section materialiser.
-func (s *Store) emitOrdered(n, workers int, materialise func(int) sectionOut, fn func(Section) bool) (stopped bool, err error) {
-	if workers > n {
-		workers = n
+// hits adapts a text-index iterator to the kernel's rowid stream.
+func hits(it *textindex.IDIter) func() (ordbms.RowID, bool) {
+	return func() (ordbms.RowID, bool) {
+		h, ok := it.Next()
+		return ordbms.RowIDFromUint64(h), ok
 	}
+}
+
+// ContentSearchN returns the sections containing every term of the
+// query — the paper's Content=Shuttle — with the limit (<= 0:
+// unlimited) pushed into the traversal kernel: the walk from text hits
+// to governing contexts stops once limit sections are materialised.
+// Hits are grouped by their governing context so each section appears
+// once.
+func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
+	out := sectionSink{limit: limit}
+	err := s.forEachSection(hits(s.content.AndIter(query)), true, out.add)
+	return out.secs, err
+}
+
+// PhraseSearchN returns the sections containing the query's terms
+// adjacently and in order (Content="technology gap"), through the same
+// kernel as ContentSearchN: a phrase hit resolves to its governing
+// section exactly as a keyword hit does, heading-less fallback
+// included.  limit <= 0 means unlimited.
+func (s *Store) PhraseSearchN(phrase string, limit int) ([]Section, error) {
+	ids := s.content.Phrase(phrase)
+	out := sectionSink{limit: limit}
+	err := s.forEachSection(func() (ordbms.RowID, bool) {
+		if len(ids) == 0 {
+			return ordbms.ZeroRowID, false
+		}
+		rid := ordbms.RowIDFromUint64(ids[0])
+		ids = ids[1:]
+		return rid, true
+	}, true, out.add)
+	return out.secs, err
+}
+
+// sectionTask names one distinct section to materialise: a governing
+// CONTEXT (by rowid, or already fetched by the walk fallback), or a
+// heading-less hit to report through fallbackSection.
+type sectionTask struct {
+	ctxRID ordbms.RowID // governing context (zero = fallback section)
+	ctx    *Node        // already-fetched context (context plans, walk fallback)
+	hit    *Node        // the hit node (fallback sections only)
+}
+
+// resolveSectionTask maps a hit node to its section identity without
+// materialising anything: an O(1) probe of the derived index, with the
+// pointer-chasing walk as fallback.  key identifies the section for
+// dedup (the context rowid, or the hit's own rowid for heading-less
+// documents).
+//
+// netmarkvet:hotpath
+func (s *Store) resolveSectionTask(node *Node) (task sectionTask, key ordbms.RowID, skip bool, err error) {
+	if rid, ok := s.probeContext(node.RowID); ok {
+		if rid.IsZero() {
+			return sectionTask{hit: node}, node.RowID, false, nil
+		}
+		return sectionTask{ctxRID: rid}, rid, false, nil
+	}
+	ctx, werr := s.contextForWalk(node)
+	if werr != nil {
+		if werr == ordbms.ErrRecordDeleted {
+			return sectionTask{}, ordbms.ZeroRowID, true, nil // document mid-delete
+		}
+		return sectionTask{}, ordbms.ZeroRowID, false, werr
+	}
+	if ctx == nil {
+		return sectionTask{hit: node}, node.RowID, false, nil
+	}
+	return sectionTask{ctxRID: ctx.RowID, ctx: ctx}, ctx.RowID, false, nil
+}
+
+// materialiseSectionTask builds the section for one task.
+func (s *Store) materialiseSectionTask(task sectionTask) sectionOut {
+	ctx := task.ctx
+	if ctx == nil && !task.ctxRID.IsZero() {
+		var err error
+		if ctx, err = s.FetchNode(task.ctxRID); err != nil {
+			if err == ordbms.ErrRecordDeleted {
+				return sectionOut{skip: true}
+			}
+			return sectionOut{err: err}
+		}
+	}
+	var sec Section
+	var err error
+	if ctx != nil {
+		sec, err = s.SectionOf(ctx)
+	} else {
+		// No governing heading (raw XML): report the parent element's
+		// subtree as the section.
+		sec, err = s.fallbackSection(task.hit)
+	}
+	if err != nil {
+		if err == ordbms.ErrRecordDeleted {
+			return sectionOut{skip: true}
+		}
+		return sectionOut{err: err}
+	}
+	return sectionOut{sec: sec}
+}
+
+// emitSectionTasks materialises the distinct sections of one chunk —
+// serially for a handful of tasks or a serial store, otherwise on a
+// bounded worker pool — and feeds the non-skipped ones to fn in task
+// order, exactly the order a serial walk would produce.  stopped
+// reports that fn returned false; remaining work is cancelled (workers
+// check the stop flag before claiming their next task, so overshoot is
+// bounded by the pool size).
+func (s *Store) emitSectionTasks(tasks []sectionTask, fn func(Section) bool) (stopped bool, err error) {
+	n := len(tasks)
+	materialise := func(i int) sectionOut { return s.materialiseSectionTask(tasks[i]) }
+	workers := s.sectionWorkers(n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			o := materialise(i)
@@ -400,214 +600,6 @@ func (s *Store) emitOrdered(n, workers int, materialise func(int) sectionOut, fn
 	return false, nil
 }
 
-// emitContextChunk materialises one chunk of CONTEXT rowids and emits the
-// sections in order.  stopped reports that fn returned false.
-func (s *Store) emitContextChunk(rids []ordbms.RowID, workers int, fn func(Section) bool) (stopped bool, err error) {
-	if workers <= 1 {
-		// Serial: one batched fetch resolves the whole chunk's headings.
-		nodes, err := s.fetchNodesBatch(rids)
-		if err != nil {
-			return false, err
-		}
-		return s.emitOrdered(len(nodes), 1, func(i int) sectionOut {
-			ctx := nodes[i]
-			if ctx == nil {
-				return sectionOut{skip: true} // deleted between snapshot and fetch
-			}
-			sec, serr := s.SectionOf(ctx)
-			if serr != nil {
-				if serr == ordbms.ErrRecordDeleted {
-					return sectionOut{skip: true}
-				}
-				return sectionOut{err: serr}
-			}
-			return sectionOut{sec: sec}
-		}, fn)
-	}
-	return s.emitOrdered(len(rids), workers, func(i int) sectionOut {
-		return s.materialiseContextSection(rids[i])
-	}, fn)
-}
-
-func (s *Store) materialiseContextSection(rid ordbms.RowID) sectionOut {
-	ctx, err := s.FetchNode(rid)
-	if err != nil {
-		if err == ordbms.ErrRecordDeleted {
-			return sectionOut{skip: true}
-		}
-		return sectionOut{err: err}
-	}
-	sec, err := s.SectionOf(ctx)
-	if err != nil {
-		if err == ordbms.ErrRecordDeleted {
-			// A concurrent delete removed part of this section between
-			// the index probe and the traversal: skip the section, the
-			// generation bump has already invalidated cached results.
-			return sectionOut{skip: true}
-		}
-		return sectionOut{err: err}
-	}
-	return sectionOut{sec: sec}
-}
-
-// ContentSearch returns the sections containing every term of the query:
-// the paper's Content=Shuttle.  Hits are grouped by their governing
-// context so each section appears once.
-func (s *Store) ContentSearch(query string) ([]Section, error) {
-	return s.ContentSearchN(query, 0)
-}
-
-// ContentSearchN is ContentSearch with the limit pushed into the
-// traversal kernel: the walk from text hits to governing contexts stops
-// once limit sections are materialised.
-func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
-	var out []Section
-	err := s.forEachContentSection(query, func(sec Section) bool {
-		out = append(out, sec)
-		return limit <= 0 || len(out) < limit
-	})
-	return out, err
-}
-
-// forEachContentSection runs the §2.1.4 kernel — text-index probe, then
-// resolution of each hit to its governing context — yielding each
-// distinct section as soon as it is materialised, in first-hit order,
-// until fn returns false.
-//
-// The kernel is a three-stage pipeline per chunk of hits: (1) batched
-// node-cache-aware fetch of the hit rows, (2) serial dedup of hits to
-// distinct section tasks via the derived context index (one map probe
-// per hit, no materialisation), (3) materialisation of the distinct
-// sections on the worker pool with ordered emit — so duplicate hits on
-// the same section cost a map probe, never a second traversal, and the
-// expensive stage parallelises over exactly the distinct sections.
-func (s *Store) forEachContentSection(query string, fn func(Section) bool) error {
-	// The hit list streams out of the text index one id at a time —
-	// a capped query over a huge posting list never materialises the
-	// full hit slice, only the current chunk, and the chunk buffer is
-	// reused across iterations.
-	it := s.content.AndIter(query)
-	seen := make(map[ordbms.RowID]bool)
-	var tasks []sectionTask
-	chunk := make([]ordbms.RowID, 0, sectionChunk)
-	for {
-		chunk = chunk[:0]
-		for len(chunk) < sectionChunk {
-			h, ok := it.Next()
-			if !ok {
-				break
-			}
-			chunk = append(chunk, ordbms.RowIDFromUint64(h))
-		}
-		if len(chunk) == 0 {
-			return nil
-		}
-		nodes, err := s.fetchNodesBatch(chunk)
-		if err != nil {
-			return err
-		}
-		tasks = tasks[:0]
-		for _, node := range nodes {
-			if node == nil {
-				continue // deleted between index probe and fetch
-			}
-			task, key, skip, err := s.resolveSectionTask(node)
-			if err != nil {
-				return err
-			}
-			if skip || seen[key] {
-				continue
-			}
-			seen[key] = true
-			tasks = append(tasks, task)
-		}
-		stopped, err := s.emitSectionTasks(tasks, s.sectionWorkers(len(tasks)), fn)
-		if err != nil || stopped {
-			return err
-		}
-	}
-}
-
-// sectionTask names one distinct section to materialise: a governing
-// CONTEXT (by rowid, or already fetched by the walk fallback), or a
-// heading-less hit to report through fallbackSection.
-type sectionTask struct {
-	ctxRID ordbms.RowID // governing context (zero = fallback section)
-	ctx    *Node        // already-fetched context, when the walk found it
-	hit    *Node        // the hit node (fallback sections only)
-}
-
-// resolveSectionTask maps a hit node to its section identity without
-// materialising anything: an O(1) probe of the derived index, with the
-// pointer-chasing walk as fallback.  key identifies the section for
-// dedup (the context rowid, or the hit's own rowid for heading-less
-// documents).
-//
-// netmarkvet:hotpath
-func (s *Store) resolveSectionTask(node *Node) (task sectionTask, key ordbms.RowID, skip bool, err error) {
-	if !s.ctxIdxOff {
-		s.ctxIdxMu.RLock()
-		rid, ok := s.ctxIdx[node.RowID]
-		s.ctxIdxMu.RUnlock()
-		if ok {
-			if rid.IsZero() {
-				return sectionTask{hit: node}, node.RowID, false, nil
-			}
-			return sectionTask{ctxRID: rid}, rid, false, nil
-		}
-	}
-	ctx, werr := s.contextForWalk(node)
-	if werr != nil {
-		if werr == ordbms.ErrRecordDeleted {
-			return sectionTask{}, ordbms.ZeroRowID, true, nil // document mid-delete
-		}
-		return sectionTask{}, ordbms.ZeroRowID, false, werr
-	}
-	if ctx == nil {
-		return sectionTask{hit: node}, node.RowID, false, nil
-	}
-	return sectionTask{ctxRID: ctx.RowID, ctx: ctx}, ctx.RowID, false, nil
-}
-
-// materialiseSectionTask builds the section for one task.
-func (s *Store) materialiseSectionTask(task sectionTask) sectionOut {
-	ctx := task.ctx
-	if ctx == nil && !task.ctxRID.IsZero() {
-		var err error
-		if ctx, err = s.FetchNode(task.ctxRID); err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				return sectionOut{skip: true}
-			}
-			return sectionOut{err: err}
-		}
-	}
-	var sec Section
-	var err error
-	if ctx != nil {
-		sec, err = s.SectionOf(ctx)
-	} else {
-		// No governing heading (raw XML): report the parent element's
-		// subtree as the section.
-		sec, err = s.fallbackSection(task.hit)
-	}
-	if err != nil {
-		if err == ordbms.ErrRecordDeleted {
-			return sectionOut{skip: true}
-		}
-		return sectionOut{err: err}
-	}
-	return sectionOut{sec: sec}
-}
-
-// emitSectionTasks materialises the distinct sections of one chunk and
-// emits them in first-hit order.  stopped reports that fn returned
-// false; remaining work is cancelled.
-func (s *Store) emitSectionTasks(tasks []sectionTask, workers int, fn func(Section) bool) (stopped bool, err error) {
-	return s.emitOrdered(len(tasks), workers, func(i int) sectionOut {
-		return s.materialiseSectionTask(tasks[i])
-	}, fn)
-}
-
 // fallbackSection builds a section for a text hit with no heading.
 func (s *Store) fallbackSection(n *Node) (Section, error) {
 	parent, err := s.Parent(n)
@@ -644,29 +636,9 @@ func (s *Store) ContentSearchDocs(query string) ([]*DocInfo, error) {
 // *some* limit matching documents, sorted by DocID, not a guaranteed
 // lowest-DocID prefix.
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
-	// Stream hits out of the index in chunks through one reused
-	// buffer: a limit-capped scan over a stop-word-sized posting list
-	// stops after a chunk or two instead of decoding the whole list.
-	it := s.content.AndIter(query)
 	seen := make(map[uint64]bool)
 	var out []*DocInfo
-	rids := make([]ordbms.RowID, 0, sectionChunk)
-	for limit <= 0 || len(out) < limit {
-		rids = rids[:0]
-		for len(rids) < sectionChunk {
-			h, ok := it.Next()
-			if !ok {
-				break
-			}
-			rids = append(rids, ordbms.RowIDFromUint64(h))
-		}
-		if len(rids) == 0 {
-			break
-		}
-		nodes, err := s.fetchNodesBatch(rids)
-		if err != nil {
-			return nil, err
-		}
+	err := s.forEachNodeChunk(hits(s.content.AndIter(query)), func(nodes []*Node) (bool, error) {
 		for _, node := range nodes {
 			if node == nil || seen[node.DocID] {
 				continue
@@ -679,35 +651,35 @@ func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) 
 					// lookup: the document is mid-delete, skip it.
 					continue
 				}
-				return nil, err
+				return false, err
 			}
 			out = append(out, info)
 			if limit > 0 && len(out) >= limit {
-				break
+				return true, nil
 			}
 		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
 	return out, nil
 }
 
-// Search combines context and content predicates — the paper's
+// SearchN combines context and content predicates — the paper's
 // Context=Technology Gap & Content=Shrinking: "returns the 'Technology
 // Gap' contexts (sections) of all documents where the term 'Shrinking'
-// occurs within the Technology Gap context".
+// occurs within the Technology Gap context".  limit <= 0 means
+// unlimited.
 //
 // The planner picks the cheaper driving side: if the heading is rarer
 // than the content terms it drives from the context index and verifies
 // terms inside each section; otherwise it drives from the text index and
 // filters by governing context.  Both plans produce identical results
-// (asserted by tests); the choice only affects cost.
-func (s *Store) Search(heading, query string) ([]Section, error) {
-	return s.SearchN(heading, query, 0)
-}
-
-// SearchN is Search with the limit pushed through whichever plan the
-// planner picks, so capped combined queries stop traversing as soon as
-// limit matching sections exist.
+// (asserted by tests); the choice only affects cost.  Either way the
+// limit is pushed into the walk, so a capped query stops traversing as
+// soon as limit matching sections exist.
 func (s *Store) SearchN(heading, query string, limit int) ([]Section, error) {
 	switch {
 	case heading == "" && query == "":
@@ -744,32 +716,22 @@ func (s *Store) contentDF(query string) int {
 // searchDriveContext: context index drives, content verified per
 // section; sections materialise lazily and stop at the limit.
 func (s *Store) searchDriveContext(heading, query string, limit int) ([]Section, error) {
-	key := normalizeContext(heading)
-	s.ctxMu.RLock()
-	rids := append([]ordbms.RowID(nil), s.contexts.Get(key)...)
-	s.ctxMu.RUnlock()
-	var out []Section
-	err := s.forEachContextSection(rids, func(sec Section) bool {
-		if sectionContainsAll(sec, query) {
-			out = append(out, sec)
-		}
-		return limit <= 0 || len(out) < limit
+	out := sectionSink{limit: limit}
+	err := s.walkContext(heading, false, 0, func(sec Section) bool {
+		return !sectionContainsAll(sec, query) || out.add(sec)
 	})
-	return out, err
+	return out.secs, err
 }
 
 // searchDriveContent: text index drives, context filters; the hit walk
 // stops once limit sections pass the filter.
 func (s *Store) searchDriveContent(heading, query string, limit int) ([]Section, error) {
 	want := normalizeContext(heading)
-	var out []Section
-	err := s.forEachContentSection(query, func(sec Section) bool {
-		if normalizeContext(sec.Context) == want {
-			out = append(out, sec)
-		}
-		return limit <= 0 || len(out) < limit
+	out := sectionSink{limit: limit}
+	err := s.forEachSection(hits(s.content.AndIter(query)), true, func(sec Section) bool {
+		return normalizeContext(sec.Context) != want || out.add(sec)
 	})
-	return out, err
+	return out.secs, err
 }
 
 // sectionContainsAll reports whether every query term occurs in the

@@ -33,12 +33,12 @@ var snapshotQueryPlans = []struct {
 	name string
 	run  func(s *Store) (any, error)
 }{
-	{"content", func(s *Store) (any, error) { return s.ContentSearch("cryogenic") }},
-	{"content-multi", func(s *Store) (any, error) { return s.ContentSearch("cryogenic turbine") }},
+	{"content", func(s *Store) (any, error) { return s.ContentSearchN("cryogenic", 0) }},
+	{"content-multi", func(s *Store) (any, error) { return s.ContentSearchN("cryogenic turbine", 0) }},
 	{"content-limit", func(s *Store) (any, error) { return s.ContentSearchN("review", 5) }},
 	{"context", func(s *Store) (any, error) { return s.ContextSearch("Budget") }},
 	{"context-prefix", func(s *Store) (any, error) { return s.ContextPrefixSearch("Tech") }},
-	{"combined", func(s *Store) (any, error) { return s.Search("Budget", "request") }},
+	{"combined", func(s *Store) (any, error) { return s.SearchN("Budget", "request", 0) }},
 	{"docs", func(s *Store) (any, error) { return s.ContentSearchDocs("turbine") }},
 	{"headings", func(s *Store) (any, error) { return s.ContextHeadings(), nil }},
 }
@@ -126,7 +126,7 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 	if id <= maxDoc {
 		t.Fatalf("restored doc-ID counter reused an ID: got %d, prior max %d", id, maxDoc)
 	}
-	secs, err := s4.ContentSearch("erosion")
+	secs, err := s4.ContentSearchN("erosion", 0)
 	if err != nil || len(secs) != 1 || secs[0].Context != "Xenon Thrusters" {
 		t.Fatalf("post-reopen ingest not searchable: %v %+v", err, secs)
 	}
@@ -140,7 +140,7 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 	if !s5.SnapshotStats().Loaded {
 		t.Fatalf("refreshed snapshot not loaded: %+v", s5.SnapshotStats())
 	}
-	secs, err = s5.ContentSearch("erosion")
+	secs, err = s5.ContentSearchN("erosion", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("refreshed snapshot misses new doc: %v %+v", err, secs)
 	}
@@ -181,7 +181,7 @@ func TestSnapshotStaleAfterCrash(t *testing.T) {
 		t.Fatalf("unexpected fallback reason %q", st.Fallback)
 	}
 	diffPlans(t, "crash reopen", runPlans(t, s3), want)
-	if secs, err := s3.ContentSearch("auger"); err != nil || len(secs) != 1 {
+	if secs, err := s3.ContentSearchN("auger", 0); err != nil || len(secs) != 1 {
 		t.Fatalf("late ingest lost: %v %+v", err, secs)
 	}
 }

@@ -643,69 +643,54 @@ func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
-		Attrs:       decodeAttrs(cols[xmlColAttrs].Str),
-		NodeID:      uint64(cols[xmlColNodeID].Int),
-		DocID:       uint64(cols[xmlColDocID].Int),
-		Class:       sgml.NodeClass(cols[xmlColNodeType].Int),
-		Name:        cols[xmlColNodeName].Str,
-		Data:        cols[xmlColNodeData].Str,
-		Ordinal:     int(cols[xmlColOrdinal].Int),
-		ParentID:    uint64(cols[xmlColParentNodeID].Int),
-		RowID:       rid,
-		ParentRowID: bytesToRID(cols[xmlColParentRowID].Bytes),
-		PrevRowID:   bytesToRID(cols[xmlColPrevRowID].Bytes),
-		NextRowID:   bytesToRID(cols[xmlColNextRowID].Bytes),
-		ChildRowID:  bytesToRID(cols[xmlColChildRowID].Bytes),
-	}, nil
+	return rowToNode(rid, cols[:]), nil
 }
 
 // fetchNodesBatch resolves many RowIDs (sorted into physical order by
 // the caller) to decoded nodes: cache hits are probed first, the misses
-// go through Table.FetchMany in one lock acquisition, and the fresh
-// decodes are published to the cache under their fill tokens.  out[i] is
-// nil when rid i's record was deleted.
+// are decoded under one table lock acquisition and one page pin per page
+// (Table.ViewMany) into stack storage, and the fresh decodes are
+// published to the cache under their fill tokens.  out[i] is nil when
+// rid i's record was deleted.
 func (s *Store) fetchNodesBatch(rids []ordbms.RowID) ([]*Node, error) {
 	out := make([]*Node, len(rids))
 	c := s.nodes
-	if c == nil {
-		rows, err := s.xml.FetchMany(rids)
-		if err != nil {
-			return nil, err
-		}
-		for i, row := range rows {
-			if row != nil {
-				out[i] = rowToNode(rids[i], row)
-			}
-		}
-		return out, nil
-	}
-	var missIdx []int
-	var missRids []ordbms.RowID
+	miss, missIdx := rids, []int(nil)
 	var tokens []uint64
-	for i, rid := range rids {
-		if n, ok := c.get(rid); ok {
-			out[i] = n
-			continue
+	if c != nil {
+		miss = nil
+		for i, rid := range rids {
+			if n, ok := c.get(rid); ok {
+				out[i] = n
+				continue
+			}
+			missIdx = append(missIdx, i)
+			miss = append(miss, rid)
+			tokens = append(tokens, c.beginFill(rid))
 		}
-		missIdx = append(missIdx, i)
-		missRids = append(missRids, rid)
-		tokens = append(tokens, c.beginFill(rid))
 	}
-	if len(missRids) == 0 {
+	if len(miss) == 0 {
 		return out, nil
 	}
-	rows, err := s.xml.FetchMany(missRids)
+	var cols [xmlColAttrs + 1]ordbms.Value
+	err := s.xml.ViewMany(miss, func(j int, rec []byte) error {
+		if err := ordbms.DecodeRowInto(rec, cols[:]); err != nil {
+			return err
+		}
+		i := j
+		if missIdx != nil {
+			i = missIdx[j]
+		}
+		out[i] = rowToNode(miss[j], cols[:])
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for j, row := range rows {
-		if row == nil {
-			continue
+	for j, i := range missIdx {
+		if out[i] != nil {
+			c.completeFill(miss[j], out[i], tokens[j])
 		}
-		n := rowToNode(missRids[j], row)
-		out[missIdx[j]] = n
-		c.completeFill(missRids[j], n, tokens[j])
 	}
 	return out, nil
 }

@@ -204,7 +204,7 @@ func TestContextSearchAcrossDocuments(t *testing.T) {
 func TestContentSearch(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
-	secs, err := s.ContentSearch("shrinking")
+	secs, err := s.ContentSearchN("shrinking", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestContentSearch(t *testing.T) {
 func TestContentSearchMultiTermAND(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", `<html><body><h1>S1</h1><p>alpha beta</p><h1>S2</h1><p>alpha</p></body></html>`)
-	secs, err := s.ContentSearch("alpha beta")
+	secs, err := s.ContentSearchN("alpha beta", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 		t.Fatal("plans returned different sections")
 	}
 	// And via the public planner entry point.
-	secs, err := s.Search("Technology Gap", "shrinking")
+	secs, err := s.SearchN("Technology Gap", "shrinking", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +286,15 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 func TestSearchEmptyPredicates(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", sampleHTML)
-	secs, err := s.Search("", "")
+	secs, err := s.SearchN("", "", 0)
 	if err != nil || secs != nil {
 		t.Fatalf("empty search: %v %v", secs, err)
 	}
-	secs, err = s.Search("Budget", "")
+	secs, err = s.SearchN("Budget", "", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("context-only via Search: %v %v", secs, err)
 	}
-	secs, err = s.Search("", "shrinking")
+	secs, err = s.SearchN("", "shrinking", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("content-only via Search: %v %v", secs, err)
 	}
@@ -303,7 +303,7 @@ func TestSearchEmptyPredicates(t *testing.T) {
 func TestSearchNoResults(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", sampleHTML)
-	secs, err := s.Search("Budget", "nonexistentterm")
+	secs, err := s.SearchN("Budget", "nonexistentterm", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestRawXMLNameElementActsAsContext(t *testing.T) {
 	// the record it labels — the schema-less analogue of a field lookup.
 	s := memStore(t)
 	ingest(t, s, "parts.xml", `<inventory><part><name>Cryo Valve</name><qty>3</qty></part></inventory>`)
-	secs, err := s.ContentSearch("valve")
+	secs, err := s.ContentSearchN("valve", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestRawXMLContentSearchFallback(t *testing.T) {
 	// back to reporting the parent element's subtree.
 	s := memStore(t)
 	ingest(t, s, "parts.xml", `<inventory><widget><label>Cryo Valve</label><qty>3</qty></widget></inventory>`)
-	secs, err := s.ContentSearch("valve")
+	secs, err := s.ContentSearchN("valve", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDeleteDocumentRemovesEverything(t *testing.T) {
 	if _, err := s.Document(gone); err == nil {
 		t.Fatal("deleted document still resolvable")
 	}
-	secs, err := s.ContentSearch("goneterm")
+	secs, err := s.ContentSearchN("goneterm", 0)
 	if err != nil || len(secs) != 0 {
 		t.Fatalf("deleted content still searchable: %v %v", secs, err)
 	}
@@ -406,7 +406,7 @@ func TestDeleteDocumentRemovesEverything(t *testing.T) {
 		t.Fatalf("deleted context still searchable: %v %v", secs, err)
 	}
 	// Survivor intact.
-	secs, err = s.ContentSearch("keepterm")
+	secs, err = s.ContentSearchN("keepterm", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("survivor lost: %v %v", secs, err)
 	}
@@ -484,7 +484,7 @@ func TestPersistentStoreReopen(t *testing.T) {
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("context search after reopen: %v %v", secs, err)
 	}
-	secs, err = s2.ContentSearch("shrinking")
+	secs, err = s2.ContentSearchN("shrinking", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("content search after reopen: %v %v", secs, err)
 	}
@@ -539,7 +539,7 @@ func TestStoreCorpusAndSearchSelectivity(t *testing.T) {
 		}
 	}
 	// Combined query: Budget sections mentioning a division.
-	combined, err := s.Search("Budget", "Science")
+	combined, err := s.SearchN("Budget", "Science", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
